@@ -206,21 +206,39 @@ pub fn place_community_degree(g: &Graph, k: usize) -> Vec<NodeId> {
 
 /// [`place_community_degree`] on a frozen [`CsrGraph`]; identical greedy
 /// order and fallback.
+///
+/// Cost: O(n log n + m) for any `k`, including the full `k = n` ordering
+/// the ranking cache memoizes. `taken` and `excluded` only ever grow, so
+/// the first eligible position in `order` (and the first untaken one the
+/// fallback uses) only moves forward: two monotone cursors replace the
+/// per-pick rescans of the adjacency oracle, which cost O(n·k).
 pub fn place_community_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
-    // Precomputed degrees keep the sort comparator to one indexed load.
+    // Precomputed degrees keep the sort comparator to one indexed load;
+    // keys are unique (the id breaks ties), so an unstable sort is exact.
     let degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
     let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(degree[v.index()]), v));
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
+    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(degree[v.index()]), v));
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(k.min(order.len()));
     let mut excluded = vec![false; g.node_count()]; // adjacent to a replica
     let mut taken = vec![false; g.node_count()];
+    // First position of `order` that is neither taken nor excluded, and
+    // first position that is not taken.
+    let (mut eligible, mut untaken) = (0usize, 0usize);
     while chosen.len() < k {
         // Best non-adjacent candidate first.
-        let pick = order
-            .iter()
-            .copied()
-            .find(|&v| !taken[v.index()] && !excluded[v.index()])
-            .or_else(|| order.iter().copied().find(|&v| !taken[v.index()]));
+        while eligible < order.len()
+            && (taken[order[eligible].index()] || excluded[order[eligible].index()])
+        {
+            eligible += 1;
+        }
+        let pick = if eligible < order.len() {
+            Some(order[eligible])
+        } else {
+            while untaken < order.len() && taken[order[untaken].index()] {
+                untaken += 1;
+            }
+            order.get(untaken).copied()
+        };
         let Some(v) = pick else { break };
         chosen.push(v);
         taken[v.index()] = true;

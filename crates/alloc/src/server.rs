@@ -585,21 +585,6 @@ impl AllocationServer {
             .ok_or(AllocationError::UnknownDataset(dataset))
     }
 
-    /// Replica list and catalog-entry version in one consistent read —
-    /// the snapshot a maintenance plan is computed against, with the
-    /// version doubling as the commit-side staleness token.
-    pub fn replicas_and_version(
-        &self,
-        dataset: DatasetId,
-    ) -> Result<(Vec<NodeId>, u64), AllocationError> {
-        self.shards[self.shard_of(dataset)]
-            .load()
-            .entries
-            .get(&dataset)
-            .map(|e| (e.replicas.clone(), e.version))
-            .ok_or(AllocationError::UnknownDataset(dataset))
-    }
-
     /// Segment count of a dataset.
     pub fn segments_of(&self, dataset: DatasetId) -> Result<u32, AllocationError> {
         self.shards[self.shard_of(dataset)]
@@ -940,8 +925,11 @@ impl AllocationServer {
     }
 
     /// Current catalog-entry version of `dataset` (`None` if unknown).
-    /// Every replica-set mutation bumps it, so comparing versions detects
-    /// whether a deferred plan's selection might be stale.
+    /// Every entry mutation (replica set or coded inventory) assigns a
+    /// fresh version, so comparing it with a snapshot's
+    /// [`CatalogSnapshot::version_of`] detects exactly whether a deferred
+    /// plan's view of this dataset went stale — the catalog token of the
+    /// maintenance pipeline.
     pub fn catalog_version(&self, dataset: DatasetId) -> Option<u64> {
         self.shards[self.shard_of(dataset)]
             .load()

@@ -4,7 +4,10 @@
 //! `place` on the hot path without changing a single experiment result.
 
 use proptest::prelude::*;
-use scdn_alloc::placement::PlacementAlgorithm;
+use scdn_alloc::placement::{
+    place_community_degree, place_community_degree_csr, PlacementAlgorithm,
+};
+use scdn_graph::generators::{barabasi_albert, complete, erdos_renyi};
 use scdn_graph::{CsrGraph, Graph};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -34,6 +37,64 @@ proptest! {
                 k,
                 seed
             );
+        }
+    }
+}
+
+/// One graph of the community-degree kernel's families: BA and ER
+/// random graphs, stars (one hub excludes everything else, forcing the
+/// fallback after one pick), cliques (every pick excludes all others),
+/// and a disconnected union of a BA graph, an ER graph and isolated
+/// nodes. `a` and `b` size the graph, `p` is the ER edge probability.
+fn family_graph(family: u8, a: usize, b: usize, p: f64, seed: u64) -> Graph {
+    match family {
+        0 => {
+            let m = 1 + b % 3;
+            barabasi_albert(a + m + 1, m, seed)
+        }
+        1 => erdos_renyi(a, p, seed),
+        2 => Graph::from_edges(a, (1..a as u32).map(|leaf| (0, leaf, 1))),
+        3 => complete(a.min(20)),
+        _ => {
+            let left = barabasi_albert(a + 2, 2, seed);
+            let right = erdos_renyi(b, p, seed ^ 0x5eed);
+            let shift = left.node_count() as u32;
+            let edges: Vec<(u32, u32, u32)> = left
+                .edges()
+                .map(|(u, v, w)| (u.0, v.0, w))
+                .chain(right.edges().map(|(u, v, w)| (u.0 + shift, v.0 + shift, w)))
+                .collect();
+            Graph::from_edges(left.node_count() + b + seed as usize % 6, edges)
+        }
+    }
+}
+
+proptest! {
+    /// The cursor-based CSR kernel picks exactly what the rescanning
+    /// adjacency oracle picks, at every `k` that matters: none, one, a
+    /// partial placement, the full ranking (`k = n`, what the ranking
+    /// cache memoizes), and an over-ask (`k > n`).
+    #[test]
+    fn community_degree_kernel_matches_adjacency_oracle(
+        family in 0u8..5,
+        a in 1usize..60,
+        b in 1usize..25,
+        p in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let g = family_graph(family, a, b, p, seed);
+        let csr = CsrGraph::from(&g);
+        let n = g.node_count();
+        for k in [0, 1, n / 2, n, n + 3] {
+            let oracle = place_community_degree(&g, k);
+            prop_assert_eq!(
+                &oracle,
+                &place_community_degree_csr(&csr, k),
+                "diverged at n={} k={}",
+                n,
+                k
+            );
+            prop_assert_eq!(oracle.len(), k.min(n), "short placement at k={}", k);
         }
     }
 }

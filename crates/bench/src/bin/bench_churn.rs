@@ -113,10 +113,12 @@ struct Workload {
     churn_interarrival_ms: f64,
     /// Replica placement algorithm. The standard workloads keep the
     /// system default (`CommunityNodeDegree`); the `--huge` workload
-    /// swaps in plain `NodeDegree` because a community-detection ranking
-    /// recompute on a million nodes costs minutes *per churn batch*
-    /// (structural churn evicts edge-sensitive rankings) and the huge
-    /// mode exists to time delta application, not placement quality.
+    /// uses plain `NodeDegree`. Structural churn evicts both rankings,
+    /// and both recomputes are a sort plus a linear pass (the community
+    /// greedy is O(n log n + m)), but the huge mode exists to time delta
+    /// application, not placement quality, so it keeps the cheapest
+    /// edge-sensitive ranking and its numbers stay comparable with
+    /// earlier reports.
     placement: PlacementAlgorithm,
 }
 

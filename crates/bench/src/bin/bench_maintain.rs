@@ -27,6 +27,13 @@
 //! `alloc.resolve.cache.*` diagnostics) — speedup for a pipeline that
 //! changes behavior is meaningless.
 //!
+//! Each piped run also records how many work items the pipeline planned
+//! (`core.maintain.planned`) and how many of those plans it had to
+//! discard and replay from live state (`core.maintain.replanned`). The
+//! workloads run on an always-on fabric with 64 MiB quotas, where no
+//! commit can invalidate a later plan, so `--smoke` also fails if any
+//! piped run replans.
+//!
 //! Results go to `BENCH_maintain.json` (hand-rolled JSON; the workspace
 //! has no serde_json). `hardware_parallelism` records how many CPUs the
 //! host actually offers: on a single-core host the parallel plan phase
@@ -157,6 +164,10 @@ struct RunOutcome {
     sim_clock_ms: u64,
     ranking_hits: u64,
     ranking_misses: u64,
+    /// Work items the pipeline planned / replayed live (zero for the
+    /// serial oracle, which never plans).
+    planned: u64,
+    replanned: u64,
 }
 
 /// Exported snapshot minus the diagnostics that legitimately differ
@@ -227,21 +238,27 @@ fn run_mode(w: &Workload, workers: usize) -> RunOutcome {
             )
         })
         .collect();
+    let counter = |name: &str| scdn.registry().counter(name).get();
     RunOutcome {
         ms: timed,
         changes,
         catalog,
         snapshot: comparable_snapshot(&scdn),
         sim_clock_ms: scdn.now().as_millis(),
-        ranking_hits: scdn
-            .registry()
-            .counter("core.maintain.ranking_cache_hit")
-            .get(),
-        ranking_misses: scdn
-            .registry()
-            .counter("core.maintain.ranking_cache_miss")
-            .get(),
+        ranking_hits: counter("core.maintain.ranking_cache_hit"),
+        ranking_misses: counter("core.maintain.ranking_cache_miss"),
+        planned: counter("core.maintain.planned"),
+        replanned: counter("core.maintain.replanned"),
     }
+}
+
+/// One piped run's timing and pipeline counters.
+struct PipedRun {
+    workers: usize,
+    ms: f64,
+    ranking_hits: u64,
+    planned: u64,
+    replanned: u64,
 }
 
 struct WorkloadReport {
@@ -251,15 +268,14 @@ struct WorkloadReport {
     cycles: usize,
     changes_total: usize,
     serial_ms: f64,
-    /// `(workers, ms, ranking_hits)` per piped run.
-    piped: Vec<(usize, f64, u64)>,
+    piped: Vec<PipedRun>,
 }
 
 impl WorkloadReport {
     fn best_speedup(&self) -> f64 {
         self.piped
             .iter()
-            .map(|&(_, ms, _)| self.serial_ms / ms)
+            .map(|run| self.serial_ms / run.ms)
             .fold(0.0, f64::max)
     }
 
@@ -267,16 +283,18 @@ impl WorkloadReport {
         let workers = self
             .piped
             .iter()
-            .map(|&(wk, ms, hits)| {
+            .map(|run| {
                 format!(
                     concat!(
                         "        \"{}\": {{ \"ms\": {:.3}, \"speedup_vs_serial\": {:.2}, ",
-                        "\"ranking_cache_hits\": {} }}"
+                        "\"ranking_cache_hits\": {}, \"planned\": {}, \"replanned\": {} }}"
                     ),
-                    wk,
-                    ms,
-                    self.serial_ms / ms,
-                    hits,
+                    run.workers,
+                    run.ms,
+                    self.serial_ms / run.ms,
+                    run.ranking_hits,
+                    run.planned,
+                    run.replanned,
                 )
             })
             .collect::<Vec<_>>()
@@ -343,13 +361,21 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
             w.name
         );
         eprintln!(
-            "  piped@{:<4} {:9.1} ms  ({:.2}x, {} ranking cache hits)",
+            "  piped@{:<4} {:9.1} ms  ({:.2}x, {} ranking cache hits, {}/{} replanned)",
             wk,
             run.ms,
             serial.ms / run.ms,
             run.ranking_hits,
+            run.replanned,
+            run.planned,
         );
-        piped.push((wk, run.ms, run.ranking_hits));
+        piped.push(PipedRun {
+            workers: wk,
+            ms: run.ms,
+            ranking_hits: run.ranking_hits,
+            planned: run.planned,
+            replanned: run.replanned,
+        });
     }
     WorkloadReport {
         name: w.name,
@@ -388,6 +414,8 @@ fn validate_report(text: &str) -> Result<(), Vec<String>> {
         "\"serial\"",
         "\"piped_workers\"",
         "\"ranking_cache_hits\"",
+        "\"planned\"",
+        "\"replanned\"",
         "\"replica_changes\"",
         "\"identical_outcomes\": true",
     ] {
@@ -503,13 +531,25 @@ fn main() -> ExitCode {
         );
     }
     if smoke {
-        // CI gate: the memoized ranking must actually be reused.
         for r in &reports {
+            // CI gate: the memoized ranking must actually be reused.
             assert!(
-                r.piped.iter().any(|&(_, _, hits)| hits > 0),
+                r.piped.iter().any(|run| run.ranking_hits > 0),
                 "smoke run recorded no ranking-cache hits on {}",
                 r.name
             );
+            // CI gate: on an always-on fabric with ample quota no commit
+            // can invalidate a later plan, so every plan must commit.
+            for run in &r.piped {
+                assert!(
+                    run.planned > 0 && run.replanned == 0,
+                    "piped@{} on {} replanned {} of {} plans",
+                    run.workers,
+                    r.name,
+                    run.replanned,
+                    run.planned
+                );
+            }
         }
     }
     emit(&reports, hardware, &out_path)

@@ -16,8 +16,9 @@
 //! snapshot (counters, gauges, bounded histograms) as an `scdn-obs/v1`
 //! JSON document. `--check` does the same run, then validates both the
 //! in-memory snapshot and the JSON round-trip — any NaN, negative counter,
-//! or mis-ordered quantile exits non-zero. CI uses `--check` as a schema
-//! gate.
+//! or mis-ordered quantile exits non-zero, as does a maintenance replan
+//! total that differs from the sum of its per-cause counters. CI uses
+//! `--check` as a schema gate.
 
 use std::process::ExitCode;
 
@@ -66,6 +67,16 @@ fn check() -> ExitCode {
     }
     if snap.counters.is_empty() || snap.histograms.is_empty() {
         violations.push("snapshot: expected non-empty counters and histograms".into());
+    }
+    // Every maintenance replan counts under exactly one cause.
+    let replans = ["", "_entry", "_quota", "_clock"]
+        .map(|cause| snap.counter(&format!("core.maintain.replanned{cause}")));
+    match replans {
+        [Some(total), Some(entry), Some(quota), Some(clock)] if total == entry + quota + clock => {}
+        _ => violations.push(format!(
+            "snapshot: core.maintain.replanned{{,_entry,_quota,_clock}} = {replans:?} \
+             (the causes must be present and sum to the total)"
+        )),
     }
     if violations.is_empty() {
         println!(

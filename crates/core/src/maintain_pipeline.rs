@@ -27,11 +27,13 @@
 //!   Shrink items always execute against live state (victim selection is
 //!   cheap and reads nothing a concurrent plan could cache). A grow
 //!   commit discards its plan and re-runs [`Scdn::replicate_to`] from
-//!   live state — counted in `core.maintain.replanned` — only when an
-//!   earlier commit in the same cycle invalidated its snapshot: the
-//!   catalog shard the plan read republished (its [`ShardStamp`] went
-//!   stale), a repository epoch the plan recorded advanced, or the clock
-//!   advanced under a time-dependent availability model.
+//!   live state — counted in `core.maintain.replanned`, split by cause
+//!   into `core.maintain.replanned_{entry,quota,clock}` — only when an
+//!   earlier commit in the same cycle invalidated something the plan
+//!   read: the dataset's catalog entry (its version moved), a candidate
+//!   repository's quota (its `used()` left the window the plan's quota
+//!   verdicts hold for), or the clock under a time-dependent
+//!   availability model.
 //!
 //! The plan phase is entirely lock-free on the catalog: one
 //! [`CatalogSnapshot`] is loaded per cycle (`core.maintain.snapshot_reuse`
@@ -39,32 +41,53 @@
 //!
 //! Determinism argument: a transfer simulation depends only on endpoint
 //! identities, segment identities, and the failure model — never on the
-//! clock — so under an always-on availability model the only snapshot
-//! ingredients a grow plan reads are the catalog shard (covered by the
-//! stamp) and destination repository quotas (covered by the per-node
-//! repository epochs, which both grow stores and shrink evictions bump).
+//! clock — so under an always-on availability model a grow plan reads
+//! exactly two kinds of mutable state, and records an exact token for
+//! each:
+//!
+//! * **Its dataset's catalog entry** (replica list, segment count,
+//!   coding spec, coded inventory). Every mutation of an entry assigns
+//!   it a fresh version, so the plan records
+//!   [`CatalogSnapshot::version_of`] and the commit compares it with
+//!   `AllocationServer::catalog_version`. A missing entry stays missing
+//!   within a cycle, because commits never register datasets. Commits
+//!   to *other* datasets — even in the same catalog shard — leave the
+//!   token alone, which is what lets many datasets grow onto the same
+//!   top-ranked hub in one cycle without replanning.
+//! * **Each online candidate's quota.** The quota simulation's verdicts
+//!   depend on the candidate repository only through its `used()` at
+//!   the start of the walk (capacity is fixed, and the segments it
+//!   checks belong to this dataset, which no other item touches). With
+//!   `P_j` the bytes the first `j` checks added, the verdicts are
+//!   unchanged for exactly the closed interval of starting `used()`
+//!   values `[0, cap − P_last]` when every check passed, and
+//!   `[cap − P_j + 1, cap − P_{j−1}]` when check `j` overflowed; a walk
+//!   that made no check holds for every value. The plan records that
+//!   interval per candidate, and the commit re-reads the live `used()`.
+//!   Grow stores, shrink evictions and live replays all move `used()`,
+//!   so this covers every earlier commit, while a commit whose store
+//!   leaves a hub inside a later plan's interval leaves that plan valid.
+//!
 //! Under periodic churn candidate liveness also depends on the clock:
 //! *within* an item the plan replays the serial walk's clock advance
 //! (each online candidate's transfer time pushes a simulated clock
 //! forward, so a transfer straddling an availability boundary flips
 //! later candidates exactly as it would serially), and *across* items
 //! any commit that moved the real clock leaves the item's starting
-//! clock wrong — covered by the clock-moved trigger. Shard
-//! stamps are coarser than the per-entry versions they replaced: a
-//! same-shard commit to another dataset forces a false-positive replan,
-//! and the replayed item — even a Noop — re-reads live state exactly as
-//! the serial loop would, reproducing the identical outcome (the
-//! equivalence proptests force shard collisions by running 1-shard
-//! catalogs). So a pipelined cycle is bit-identical to
-//! [`Scdn::maintain_serial`] / [`Scdn::repair_serial`] under a fixed
-//! seed.
+//! clock wrong — covered by the clock-moved trigger. A stale item is
+//! replayed from live state exactly as the serial loop would run it, so
+//! a pipelined cycle is bit-identical to [`Scdn::maintain_serial`] /
+//! [`Scdn::repair_serial`] under a fixed seed whichever way each
+//! staleness check goes; the tokens only decide how much work is
+//! replayed.
 //!
 //! [cache]: scdn_alloc::ranking_cache::RankingCache
 //! [`TransferEngine::simulate_segment`]: scdn_net::transfer::TransferEngine::simulate_segment
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use scdn_alloc::{CatalogSnapshot, ShardStamp};
+use scdn_alloc::CatalogSnapshot;
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
 use scdn_sim::engine::SimTime;
@@ -122,6 +145,10 @@ struct GrowXfer {
     /// `true` if a segment exhausted its retries or overflowed the
     /// candidate's quota.
     failed: bool,
+    /// Starting `used()` values of the candidate's repository for which
+    /// every quota verdict of this transfer holds — the commit-side
+    /// quota token.
+    quota_window: RangeInclusive<u64>,
 }
 
 /// One candidate considered by a coded block-shipping plan, in ranking
@@ -153,6 +180,9 @@ struct CodedXfer {
     elapsed_ms: f64,
     /// Block payload size.
     bytes: u64,
+    /// Starting `used()` values of the candidate's repository for which
+    /// the block's quota verdict holds (see [`GrowXfer::quota_window`]).
+    quota_window: RangeInclusive<u64>,
 }
 
 /// What the plan phase decided for one work item.
@@ -172,7 +202,9 @@ enum PlanKind {
     },
     /// Coded repair that must run from live state: the owner was offline
     /// at plan time, and the reconstruct path's any-k multi-source fetch
-    /// reads donor repositories mid-flight — state no snapshot covers.
+    /// reads donor repositories mid-flight — state no snapshot covers; or
+    /// the owner's plain copy could not be read, an abort that holds only
+    /// while the owner stays online.
     CodedLive,
     /// Shrink: victim selection is deferred to commit time (live state),
     /// exactly like the serial path.
@@ -196,17 +228,45 @@ fn coded_missing(snap: &CatalogSnapshot, dataset: DatasetId, spec: &CodingSpec) 
 
 /// A fully planned work item: pure output of the parallel phase.
 struct MaintainPlan {
-    /// Stamp of the catalog shard the plan read — the commit-side
-    /// staleness token. Meaningful even for unknown datasets, since
-    /// registering one would republish this same shard.
-    stamp: ShardStamp,
-    /// `(node index, repository epoch at plan time)` of every repository
-    /// whose quota/contents the plan read (the online candidates it
-    /// simulated stores into). The owner's repository is deliberately
-    /// absent: source reads fetch this dataset's segments by id, and no
-    /// other dataset's commit can create or remove those.
-    repos_read: Vec<(u32, u64)>,
+    /// Catalog-entry version of the item's dataset at plan time (`None`
+    /// if unknown) — the commit-side catalog token. The per-candidate
+    /// quota tokens live on the planned transfers themselves. The
+    /// owner's repository needs none: source reads fetch this dataset's
+    /// segments by id, and no other dataset's commit can create or
+    /// remove those.
+    version: Option<u64>,
     kind: PlanKind,
+}
+
+/// Why a grow commit had to replay from live state.
+#[derive(Clone, Copy)]
+enum StaleCause {
+    /// The dataset's catalog entry changed since the plan read it.
+    Entry,
+    /// A candidate repository's `used()` left its quota window.
+    Quota,
+    /// The clock moved under time-dependent availability.
+    Clock,
+}
+
+/// The `used()` interval for which a quota walk's verdicts hold, given
+/// the bytes its passing checks added (`checked`) and, if the last check
+/// overflowed, that check's bytes. `any_check == false` means the walk
+/// never consulted the quota.
+fn quota_window(
+    cap: u64,
+    any_check: bool,
+    checked: u64,
+    overflow: Option<u64>,
+) -> RangeInclusive<u64> {
+    match (any_check, overflow) {
+        (false, _) => 0..=u64::MAX,
+        (true, None) => 0..=cap.saturating_sub(checked),
+        (true, Some(bytes)) => {
+            let lo = cap.checked_sub(checked + bytes).map_or(0, |x| x + 1);
+            lo..=cap.saturating_sub(checked)
+        }
+    }
 }
 
 impl Scdn {
@@ -337,10 +397,9 @@ impl Scdn {
         item: &WorkItem,
         ranked: &[NodeId],
     ) -> MaintainPlan {
-        let stamp = snap.stamp_of(item.dataset);
+        let version = snap.version_of(item.dataset);
         let noop = || MaintainPlan {
-            stamp,
-            repos_read: Vec::new(),
+            version,
             kind: PlanKind::Noop,
         };
         let Some(current) = snap.replicas_of(item.dataset) else {
@@ -348,8 +407,7 @@ impl Scdn {
         };
         match item.target {
             Target::Shrink { drop } => MaintainPlan {
-                stamp,
-                repos_read: Vec::new(),
+                version,
                 kind: PlanKind::Shrink { drop },
             },
             Target::Grow { want } => {
@@ -378,7 +436,6 @@ impl Scdn {
                     })
                     .collect();
                 let mut cands = Vec::new();
-                let mut repos_read = Vec::new();
                 let mut have = current.len();
                 // The serial walk advances the live clock after every
                 // online candidate's transfer, so under periodic churn a
@@ -406,7 +463,6 @@ impl Scdn {
                         });
                         continue;
                     }
-                    repos_read.push((cand.index() as u32, self.repo_epochs[cand.index()]));
                     let xfer = self.simulate_fan_in(owner, cand, &segments);
                     sim_clock = sim_clock.plus_millis(xfer.total_ms as u64);
                     if !xfer.failed {
@@ -420,8 +476,7 @@ impl Scdn {
                     });
                 }
                 MaintainPlan {
-                    stamp,
-                    repos_read,
+                    version,
                     kind: PlanKind::Grow { owner, cands },
                 }
             }
@@ -441,33 +496,31 @@ impl Scdn {
         spec: CodingSpec,
         ranked: &[NodeId],
     ) -> MaintainPlan {
-        let stamp = snap.stamp_of(dataset);
-        let noop = |kind| MaintainPlan {
-            stamp,
-            repos_read: Vec::new(),
-            kind,
-        };
+        let version = snap.version_of(dataset);
+        let plan = |kind| MaintainPlan { version, kind };
         let missing = coded_missing(snap, dataset, &spec);
         if missing.is_empty() {
-            return noop(PlanKind::Noop);
+            return plan(PlanKind::Noop);
         }
         let Some(owner) = self.datasets.get(&dataset).map(|m| m.owner) else {
-            return noop(PlanKind::Noop);
+            return plan(PlanKind::Noop);
         };
         if self.departed[owner.index()] || !self.availability.is_online(owner.index(), self.clock) {
-            return noop(PlanKind::CodedLive);
+            return plan(PlanKind::CodedLive);
         }
         // Re-encode from the owner's plain segment set. A fetch failure
         // aborts the serial path before any effect (`reassemble_plain`
-        // errors out of `replicate_to`), so a Noop reproduces it.
+        // errors out of `replicate_to`) — but only while the owner is
+        // still online, which a later clock may change, so the item
+        // replays live rather than committing a clock-blind Noop.
         let Some(segment_count) = snap.segments_of(dataset) else {
-            return noop(PlanKind::Noop);
+            return plan(PlanKind::CodedLive);
         };
         let src_repo = &self.repos[owner.index()];
         let mut content = Vec::new();
         for ordinal in 0..segment_count {
             let Ok(seg) = src_repo.fetch(Partition::User, SegmentId { dataset, ordinal }) else {
-                return noop(PlanKind::Noop);
+                return plan(PlanKind::CodedLive);
             };
             content.extend_from_slice(&seg.data);
         }
@@ -479,7 +532,6 @@ impl Scdn {
             .map(|(n, _)| n)
             .collect();
         let mut steps = Vec::new();
-        let mut repos_read = Vec::new();
         let mut sim_clock = self.clock;
         let mut queue = missing.into_iter();
         let mut next = queue.next();
@@ -500,7 +552,6 @@ impl Scdn {
                 });
                 continue;
             }
-            repos_read.push((cand.index() as u32, self.repo_epochs[cand.index()]));
             let seg = &blocks[block as usize];
             let dst_repo = &self.repos[cand.index()];
             let sim =
@@ -516,9 +567,16 @@ impl Scdn {
             }
             // Quota sim mirroring `StorageRepository::store`: an
             // overwrite is size-neutral, a new block must fit.
-            let delivered = sim.delivered
-                && (dst_repo.contains_in(Partition::Replica, seg.id)
-                    || dst_repo.used() + seg.len() as u64 <= dst_repo.capacity());
+            let bytes = seg.len() as u64;
+            let cap = dst_repo.capacity();
+            let checks_quota = sim.delivered && !dst_repo.contains_in(Partition::Replica, seg.id);
+            let fits = dst_repo.used() + bytes <= cap;
+            let delivered = sim.delivered && (!checks_quota || fits);
+            let (checked, overflow) = if fits {
+                (bytes, None)
+            } else {
+                (0, Some(bytes))
+            };
             if delivered {
                 sim_clock = sim_clock.plus_millis(sim.elapsed_ms as u64);
                 next = queue.next();
@@ -531,13 +589,13 @@ impl Scdn {
                     attempts,
                     delivery: delivered.then(|| (block, seg.clone())),
                     elapsed_ms: sim.elapsed_ms,
-                    bytes: seg.len() as u64,
+                    bytes,
+                    quota_window: quota_window(cap, checks_quota, checked, overflow),
                 }),
             });
         }
         MaintainPlan {
-            stamp,
-            repos_read,
+            version,
             kind: PlanKind::CodedGrow { owner, spec, steps },
         }
     }
@@ -546,11 +604,16 @@ impl Scdn {
     /// chains via the pure failure model, destination quota mirroring
     /// `StorageRepository::store` (an overwrite of a same-partition copy
     /// is size-neutral; a new segment must fit the remaining capacity).
+    /// The quota checks run on prefix sums of the new bytes, which also
+    /// yield the transfer's quota window.
     fn simulate_fan_in(&self, owner: NodeId, cand: NodeId, segments: &[SegmentId]) -> GrowXfer {
         let src_repo = &self.repos[owner.index()];
         let dst_repo = &self.repos[cand.index()];
         let capacity = dst_repo.capacity();
-        let mut sim_used = dst_repo.used();
+        let used = dst_repo.used();
+        // Bytes added by the quota checks that passed, whether any check
+        // ran, and the bytes of the check that overflowed.
+        let (mut checked, mut any_check, mut overflow) = (0u64, false, None);
         let mut attempts = (0u64, 0u64, 0u64);
         let mut deliveries = Vec::with_capacity(segments.len());
         let mut segment_ms = Vec::with_capacity(segments.len());
@@ -581,11 +644,13 @@ impl Scdn {
             // The store happens on the delivered attempt (already
             // tallied above); quota rejection fails the candidate there.
             if !dst_repo.contains_in(Partition::Replica, s) {
-                if sim_used + bytes > capacity {
+                any_check = true;
+                if used + checked + bytes > capacity {
+                    overflow = Some(bytes);
                     failed = true;
                     break;
                 }
-                sim_used += bytes;
+                checked += bytes;
             }
             segment_ms.push(sim.elapsed_ms);
             total_bytes += bytes;
@@ -603,23 +668,33 @@ impl Scdn {
             total_ms,
             total_bytes,
             failed,
+            quota_window: quota_window(capacity, any_check, checked, overflow),
         }
     }
 
-    /// `true` if an earlier commit in this cycle invalidated a grow
-    /// plan's snapshot.
-    fn grow_plan_stale(
+    /// Why an earlier commit in this cycle invalidated a grow plan, if
+    /// it did: the dataset's entry version moved, a candidate's live
+    /// `used()` left its quota window, or the clock moved under periodic
+    /// availability. Checked in that order, so each stale plan counts
+    /// against exactly one cause.
+    fn stale_cause<'a>(
         &self,
-        stamp: ShardStamp,
-        repos_read: &[(u32, u64)],
+        dataset: DatasetId,
+        version: Option<u64>,
+        mut windows: impl Iterator<Item = (NodeId, &'a RangeInclusive<u64>)>,
         planned_clock: SimTime,
-    ) -> bool {
-        !self.alloc.stamp_current(stamp)
-            || (self.clock != planned_clock
-                && matches!(self.availability, Availability::Periodic(_)))
-            || repos_read
-                .iter()
-                .any(|&(r, e)| self.repo_epochs[r as usize] != e)
+    ) -> Option<StaleCause> {
+        if self.alloc.catalog_version(dataset) != version {
+            Some(StaleCause::Entry)
+        } else if windows.any(|(cand, w)| !w.contains(&self.repos[cand.index()].used())) {
+            Some(StaleCause::Quota)
+        } else if self.clock != planned_clock
+            && matches!(self.availability, Availability::Periodic(_))
+        {
+            Some(StaleCause::Clock)
+        } else {
+            None
+        }
     }
 
     /// Commit one work item in the serial order, re-planning from live
@@ -631,21 +706,13 @@ impl Scdn {
         plan: MaintainPlan,
         planned_clock: SimTime,
     ) -> usize {
-        let MaintainPlan {
-            stamp,
-            repos_read,
-            kind,
-        } = plan;
+        let MaintainPlan { version, kind } = plan;
         match kind {
             PlanKind::Noop => {
-                // A stale noop replays from live state. Shard stamps make
-                // this a possible false positive (a same-shard commit to
-                // another dataset), but the replay is harmless: the item
-                // is still at target (or unknown), so the live path makes
-                // zero changes — exactly the serial outcome.
-                if !self.alloc.stamp_current(stamp) {
-                    self.maintain_replanned.inc();
-                    return self.commit_item_live(item);
+                // A Noop reads only the catalog entry (unknown dataset,
+                // already at target, no block missing, owner unknown).
+                if self.alloc.catalog_version(item.dataset) != version {
+                    return self.replan(item, StaleCause::Entry);
                 }
                 self.maintain_committed.inc();
                 0
@@ -655,24 +722,26 @@ impl Scdn {
                 // the serial loop also re-reads the replica list at item
                 // time — so a shrink plan is never stale.
                 self.maintain_committed.inc();
-                let shed = self.shed_replicas(item.dataset, drop);
-                for &v in &shed {
-                    self.repo_epochs[v.index()] += 1;
-                }
-                shed.len()
+                self.shed_replicas(item.dataset, drop).len()
             }
             PlanKind::Grow { owner, cands } => {
-                if self.grow_plan_stale(stamp, &repos_read, planned_clock) {
-                    self.maintain_replanned.inc();
-                    return self.commit_item_live(item);
+                let windows = cands
+                    .iter()
+                    .filter_map(|c| c.xfer.as_ref().map(|x| (c.cand, &x.quota_window)));
+                if let Some(cause) = self.stale_cause(item.dataset, version, windows, planned_clock)
+                {
+                    return self.replan(item, cause);
                 }
                 self.maintain_committed.inc();
                 self.apply_grow(item.dataset, owner, cands)
             }
             PlanKind::CodedGrow { owner, spec, steps } => {
-                if self.grow_plan_stale(stamp, &repos_read, planned_clock) {
-                    self.maintain_replanned.inc();
-                    return self.commit_item_live(item);
+                let windows = steps
+                    .iter()
+                    .filter_map(|s| s.xfer.as_ref().map(|x| (s.cand, &x.quota_window)));
+                if let Some(cause) = self.stale_cause(item.dataset, version, windows, planned_clock)
+                {
+                    return self.replan(item, cause);
                 }
                 self.maintain_committed.inc();
                 self.apply_coded(item.dataset, owner, spec, steps)
@@ -686,25 +755,26 @@ impl Scdn {
         }
     }
 
-    /// Re-run a stale item from live committed state — exactly the
-    /// serial loop's view — bumping the epochs of the repositories it
-    /// mutates.
+    /// Discard a stale plan and replay its item from live state, counting
+    /// the replan under its cause.
+    fn replan(&mut self, item: &WorkItem, cause: StaleCause) -> usize {
+        self.maintain_replanned.inc();
+        match cause {
+            StaleCause::Entry => self.maintain_replanned_entry.inc(),
+            StaleCause::Quota => self.maintain_replanned_quota.inc(),
+            StaleCause::Clock => self.maintain_replanned_clock.inc(),
+        }
+        self.commit_item_live(item)
+    }
+
+    /// Run an item from live committed state — exactly the serial loop's
+    /// view.
     fn commit_item_live(&mut self, item: &WorkItem) -> usize {
         match item.target {
-            Target::Grow { want } => {
-                let added = self.replicate_to(item.dataset, want).unwrap_or_default();
-                for &n in &added {
-                    self.repo_epochs[n.index()] += 1;
-                }
-                added.len()
-            }
-            Target::Shrink { drop } => {
-                let shed = self.shed_replicas(item.dataset, drop);
-                for &v in &shed {
-                    self.repo_epochs[v.index()] += 1;
-                }
-                shed.len()
-            }
+            Target::Grow { want } => self
+                .replicate_to(item.dataset, want)
+                .map_or(0, |added| added.len()),
+            Target::Shrink { drop } => self.shed_replicas(item.dataset, drop).len(),
         }
     }
 
@@ -738,9 +808,9 @@ impl Scdn {
                             }
                         }
                         Err(_) => {
-                            // Unreachable while the staleness triggers
-                            // cover every quota the plan simulated; fail
-                            // the candidate gracefully if they ever miss.
+                            // Unreachable while the live `used()` sits in
+                            // the plan's quota window; fail the candidate
+                            // gracefully if the window ever misses.
                             debug_assert!(false, "non-stale maintain plan stores cannot fail");
                             failed = true;
                             break;
@@ -769,7 +839,6 @@ impl Scdn {
             for &(id, _) in &x.deliveries {
                 cache.set_pinned(id, true);
             }
-            self.repo_epochs[c.cand.index()] += 1;
             added += 1;
         }
         let replica_count = self
@@ -816,9 +885,9 @@ impl Scdn {
             let dst_repo = self.repos[s.cand.index()].clone();
             let id = seg.id;
             if dst_repo.store(Partition::Replica, seg).is_err() {
-                // Unreachable while the staleness triggers cover every
-                // quota the plan simulated; fail the candidate gracefully
-                // if they ever miss.
+                // Unreachable while the live `used()` sits in the plan's
+                // quota window; fail the candidate gracefully if the
+                // window ever misses.
                 debug_assert!(false, "non-stale coded plan stores cannot fail");
                 self.social_metrics
                     .record_exchange(owner.index(), s.cand.index(), 0, false);
@@ -830,7 +899,6 @@ impl Scdn {
             self.clock = self.clock.plus_millis(x.elapsed_ms as u64);
             let _ = self.alloc.add_coded_blocks(dataset, s.cand, &[block]);
             self.caches[s.cand.index()].set_pinned(id, true);
-            self.repo_epochs[s.cand.index()] += 1;
             added += 1;
         }
         // Closing durability sample in replica-equivalents, from live
@@ -849,5 +917,62 @@ impl Scdn {
             .redundancy
             .record(distinct as f64 / spec.k as f64);
         added
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quota_window;
+
+    /// The quota walk both planners run: checks in order against a fixed
+    /// capacity, stopping at the first overflow. Returns the bytes the
+    /// passing checks added, the overflowing check's bytes, and the
+    /// index of the failing check (`None` if every check passed).
+    fn walk(cap: u64, used: u64, sizes: &[u64]) -> (u64, Option<u64>, Option<usize>) {
+        let mut checked = 0;
+        for (i, &bytes) in sizes.iter().enumerate() {
+            if used + checked + bytes > cap {
+                return (checked, Some(bytes), Some(i));
+            }
+            checked += bytes;
+        }
+        (checked, None, None)
+    }
+
+    /// Exhaustively over small capacities, check sequences and starting
+    /// fills: a reachable `used()` (a store never lets it pass the
+    /// capacity) lies in the window iff the walk from it reaches exactly
+    /// the same verdicts as the planned walk — neither edge of the window
+    /// is off by one.
+    #[test]
+    fn quota_window_is_exactly_the_set_of_equivalent_fills() {
+        let mut lists: Vec<Vec<u64>> = vec![Vec::new()];
+        for len in 1..=3 {
+            let mut next = Vec::new();
+            for list in lists.iter().filter(|l| l.len() == len - 1) {
+                for bytes in 1..=4 {
+                    let mut l = list.clone();
+                    l.push(bytes);
+                    next.push(l);
+                }
+            }
+            lists.extend(next);
+        }
+        for cap in 0..=10u64 {
+            for sizes in &lists {
+                for used in 0..=cap {
+                    let (checked, overflow, verdict) = walk(cap, used, sizes);
+                    let window = quota_window(cap, !sizes.is_empty(), checked, overflow);
+                    assert!(window.contains(&used), "planned fill outside its window");
+                    for other in 0..=cap {
+                        assert_eq!(
+                            window.contains(&other),
+                            walk(cap, other, sizes).2 == verdict,
+                            "cap {cap}, sizes {sizes:?}, planned {used}, live {other}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -288,14 +288,14 @@ pub struct Scdn {
     /// Commits that had to re-plan because an earlier commit in the same
     /// batch invalidated their snapshot (`core.batch.replans`).
     batch_replans: Counter,
-    /// Per-node repository mutation epochs: bumped whenever a commit
-    /// mutates a node's repository contents (stores after a remote
-    /// serve, grow-plan stores, shrink evictions). Plans record the
-    /// epoch of every repository whose quota/contents they read; at
-    /// commit time the plan is stale iff one of those epochs advanced —
-    /// the repository half of the version-vector staleness scheme that
-    /// replaced the per-batch touched-repo bitmap (the catalog half is
-    /// the alloc crate's per-shard epochs).
+    /// Per-node repository mutation epochs for the request pipeline:
+    /// bumped whenever a request commit stores into a node's repository
+    /// (after a remote serve). Request plans record the requester's
+    /// epoch; at commit time the plan is stale iff that epoch advanced
+    /// within the batch — the repository half of the version-vector
+    /// staleness scheme (the catalog half is the alloc crate's per-shard
+    /// epochs). Maintenance plans use exact quota windows instead and
+    /// neither read nor bump these.
     repo_epochs: Vec<u64>,
     /// Requests planned against a reused catalog snapshot — one load
     /// serves the whole batch (`core.batch.snapshot_reuse`).
@@ -307,10 +307,16 @@ pub struct Scdn {
     /// `repair` rank the social graph once per cycle and slice per
     /// dataset instead of re-running the placement algorithm per dataset.
     rankings: RankingCache,
-    /// Maintenance plan/commit counters (`core.maintain.*`).
+    /// Maintenance plan/commit counters (`core.maintain.*`). Every
+    /// replan also counts under exactly one cause
+    /// (`core.maintain.replanned_{entry,quota,clock}`), so the three
+    /// sum to `core.maintain.replanned`.
     maintain_planned: Counter,
     maintain_committed: Counter,
     maintain_replanned: Counter,
+    maintain_replanned_entry: Counter,
+    maintain_replanned_quota: Counter,
+    maintain_replanned_clock: Counter,
     ranking_hits: Counter,
     ranking_misses: Counter,
     /// Graph-churn counters: deltas applied via
@@ -482,6 +488,9 @@ impl Scdn {
         let maintain_planned = registry.counter("core.maintain.planned");
         let maintain_committed = registry.counter("core.maintain.committed");
         let maintain_replanned = registry.counter("core.maintain.replanned");
+        let maintain_replanned_entry = registry.counter("core.maintain.replanned_entry");
+        let maintain_replanned_quota = registry.counter("core.maintain.replanned_quota");
+        let maintain_replanned_clock = registry.counter("core.maintain.replanned_clock");
         let ranking_hits = registry.counter("core.maintain.ranking_cache_hit");
         let ranking_misses = registry.counter("core.maintain.ranking_cache_miss");
         let delta_applied = registry.counter("core.graph.delta_applied");
@@ -529,6 +538,9 @@ impl Scdn {
             maintain_planned,
             maintain_committed,
             maintain_replanned,
+            maintain_replanned_entry,
+            maintain_replanned_quota,
+            maintain_replanned_clock,
             ranking_hits,
             ranking_misses,
             delta_applied,

@@ -50,12 +50,17 @@ fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
 }
 
 /// Deterministic build: two calls with the same arguments produce
-/// bit-identical systems.
-fn build_system(coding: CodingConfig, catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
+/// bit-identical systems. A `repo_capacity` in the tens of KiB makes
+/// block hosts run out of quota (each dataset is 7 KiB).
+fn build_system(
+    coding: CodingConfig,
+    catalog_shards: usize,
+    repo_capacity: u64,
+) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
         segment_size: 2 << 10,
-        repo_capacity: 4 << 20,
+        repo_capacity,
         replicas_per_dataset: 2,
         availability: AvailabilityConfig::Periodic {
             period_ms: 8_000,
@@ -173,10 +178,11 @@ proptest! {
             1..5,
         ),
         shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
+        capacity in (0usize..3).prop_map(|i| [4u64 << 20, 10 << 10, 14 << 10][i]),
     ) {
         let coding = CodingConfig::Rs { k: 3, m: 2 };
-        let (mut serial, datasets) = build_system(coding, shards);
-        let (mut piped, datasets_b) = build_system(coding, shards);
+        let (mut serial, datasets) = build_system(coding, shards, capacity);
+        let (mut piped, datasets_b) = build_system(coding, shards, capacity);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
         let serial_changes = drive(&mut serial, &datasets, &ops, true);
@@ -203,8 +209,8 @@ proptest! {
     fn request_coded_is_identity_when_uncoded(
         reqs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
     ) {
-        let (mut plain, datasets) = build_system(CodingConfig::None, 0);
-        let (mut coded, _) = build_system(CodingConfig::None, 0);
+        let (mut plain, datasets) = build_system(CodingConfig::None, 0, 4 << 20);
+        let (mut coded, _) = build_system(CodingConfig::None, 0, 4 << 20);
         let members = plain.member_count() as u32;
         for &(n, d) in &reqs {
             let node = NodeId(u32::from(n) % members);
@@ -391,4 +397,68 @@ fn request_coded_delivers_original_content() {
     assert_eq!(got, payload, "decoded content matches the original");
     // No coded scaffolding left behind.
     assert!(repo.list_coded(Partition::User, dataset).is_empty());
+}
+
+/// The coded ship walk's quota windows: four 6 KiB RS(3,2) datasets
+/// owned from the tail of the ranking all plan their first block onto
+/// the same empty top-ranked hub of an always-on, lossless fabric.
+/// 6 KiB repositories fit fewer blocks than there are datasets, so once
+/// earlier commits fill the hub past a later plan's window that plan
+/// replays live — as a quota replan, never an entry or clock one — and
+/// the cycle still matches the serial oracle.
+#[test]
+fn coded_ship_walk_replans_when_hub_quota_fills() {
+    let build = || {
+        let (c, sub) = community();
+        let config = ScdnConfig {
+            segment_size: 2 << 10,
+            repo_capacity: 6 << 10,
+            replicas_per_dataset: 2,
+            coding: CodingConfig::Rs { k: 3, m: 2 },
+            ..Default::default()
+        };
+        let mut scdn = Scdn::build(sub, &c.corpus, config);
+        let csr = scdn.social_csr();
+        let ranked = scdn_alloc::placement::PlacementAlgorithm::CommunityNodeDegree.place_csr(
+            csr,
+            csr.node_count(),
+            0,
+        );
+        let owners: Vec<NodeId> = ranked.iter().rev().take(4).copied().collect();
+        let datasets: Vec<DatasetId> = owners
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| {
+                scdn.publish(
+                    o,
+                    &format!("coded-hub-{i}"),
+                    Bytes::from(vec![i as u8 + 1; 6 << 10]),
+                    Sensitivity::Public,
+                    None,
+                )
+                .expect("publish succeeds")
+            })
+            .collect();
+        (scdn, datasets)
+    };
+    let (mut serial, datasets) = build();
+    let (mut piped, _) = build();
+    assert_eq!(serial.repair_serial(), piped.repair());
+    assert_eq!(serial.now(), piped.now(), "clocks diverge");
+    assert_eq!(
+        catalog_state(&serial, &datasets),
+        catalog_state(&piped, &datasets),
+        "replica sets / versions / coded inventories diverge"
+    );
+    assert_eq!(
+        comparable_snapshot(&serial),
+        comparable_snapshot(&piped),
+        "metric snapshots diverge"
+    );
+    let counter = |name: &str| piped.registry().counter(name).get();
+    let quota = counter("core.maintain.replanned_quota");
+    assert!(quota > 0, "a filled hub must invalidate a later plan");
+    assert_eq!(counter("core.maintain.replanned"), quota);
+    assert_eq!(counter("core.maintain.replanned_entry"), 0);
+    assert_eq!(counter("core.maintain.replanned_clock"), 0);
 }
