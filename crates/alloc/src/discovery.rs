@@ -11,10 +11,12 @@
 //! * [`select_replica`] — full BFS over the adjacency-list [`Graph`].
 //!   Allocates a distance vector per call; kept as the oracle the CSR
 //!   path is property-tested against.
-//! * [`select_replica_csr`] — bounded multi-target BFS over a frozen
-//!   [`CsrGraph`] through a reusable [`TraversalScratch`]: the traversal
-//!   stops as soon as every candidate is reached (or a hop budget is
-//!   spent) and allocates nothing. This is the per-request hot path.
+//! * [`select_replica_csr`] — nearest-online BFS
+//!   ([`TraversalScratch::bfs_nearest`]) over a frozen [`CsrGraph`]
+//!   through a reusable scratch: the traversal stops once the level of
+//!   the nearest online candidate is complete (or a hop budget is spent)
+//!   and allocates nothing. The allocation server's cached resolve runs
+//!   the same kernel.
 
 use scdn_graph::traversal::bfs_distances;
 use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
@@ -62,10 +64,11 @@ pub fn select_replica(
 }
 
 /// [`select_replica`] on a frozen CSR graph: identical selection, but the
-/// BFS is multi-target and early-exits once every online candidate is
-/// reached (or `max_hops` is exhausted — pass `u32::MAX` for exact
-/// full-BFS equivalence). The caller-owned `scratch` makes repeated
-/// resolutions allocation-free.
+/// BFS stops once the nearest online candidate's level is complete (or
+/// `max_hops` is exhausted — pass `u32::MAX` for exact full-BFS
+/// equivalence). Ranking orders by hops first, so no candidate beyond
+/// that level can win, and every candidate within it is reported exactly.
+/// The caller-owned `scratch` makes repeated resolutions allocation-free.
 pub fn select_replica_csr(
     social: &CsrGraph,
     requester: NodeId,
@@ -76,14 +79,10 @@ pub fn select_replica_csr(
     if candidates.iter().all(|c| !c.online) {
         return None;
     }
-    scratch.bfs_to_targets(
+    scratch.bfs_nearest(
         social,
         requester,
-        // Stack-free target pass: `bfs_to_targets` skips out-of-range ids,
-        // and offline candidates never win, so targeting every candidate
-        // (not just online ones) is correct; targeting all of them keeps
-        // the cached-hops path (which is online-mask-agnostic) identical.
-        &candidates.iter().map(|c| c.node).collect::<Vec<_>>(),
+        candidates.iter().filter(|c| c.online).map(|c| c.node),
         max_hops,
     );
     select_from_hops(candidates, |c| scratch.target_hops(c.node))

@@ -13,10 +13,12 @@
 //! control-plane hot path — is read-mostly, allocation-free, and after
 //! the snapshot load entirely lock-free on the catalog:
 //!
-//! * [`resolve_csr`](AllocationServer::resolve_csr) runs a bounded
-//!   multi-target BFS on a frozen CSR graph through a pooled
-//!   [`TraversalScratch`], early-exiting once every replica is reached;
-//! * hop distances are memoized in a version-keyed
+//! * [`resolve_csr`](AllocationServer::resolve_csr) runs a
+//!   nearest-online BFS on a frozen CSR graph through a pooled
+//!   [`TraversalScratch`], stopping once the level of the nearest online
+//!   replica is complete;
+//! * what that traversal learned (the replicas' hops within its
+//!   completeness radius) is memoized in a version-keyed
 //!   [`ResolveCache`](crate::resolve_cache::ResolveCache) — catalog
 //!   writes bump the entry version, which invalidates stale hops without
 //!   touching the cache. Entry versions are strictly finer-grained than
@@ -52,7 +54,7 @@ use crate::epoch::{
 };
 use crate::placement::PlacementAlgorithm;
 use crate::replication::{CycleStats, DatasetStats, DemandWindow, RebalancePolicy};
-use crate::resolve_cache::ResolveCache;
+use crate::resolve_cache::{ResolveCache, Slot};
 
 /// Default bound on the version-keyed hop-distance cache (entries).
 pub const DEFAULT_RESOLVE_CACHE_CAPACITY: usize = 4096;
@@ -73,8 +75,12 @@ pub struct AllocMetrics {
     pub demand_misses: Counter,
     /// Resolutions whose hop distances came from the version-keyed cache.
     pub cache_hits: Counter,
-    /// Resolutions that had to run the bounded BFS.
+    /// Resolutions the cache could not answer, so the nearest-online BFS
+    /// ran.
     pub cache_misses: Counter,
+    /// Nodes dequeued by resolve traversals. Only a cache miss traverses,
+    /// so this is the graph work the misses cost.
+    pub cache_visited: Counter,
     /// Cache entries evicted by the capacity bound or by delta-scoped
     /// invalidation.
     pub cache_evictions: Counter,
@@ -101,12 +107,27 @@ impl AllocMetrics {
             demand_misses: reg.counter("alloc.demand.misses"),
             cache_hits: reg.counter("alloc.resolve.cache.hit"),
             cache_misses: reg.counter("alloc.resolve.cache.miss"),
+            cache_visited: reg.counter("alloc.resolve.cache.visited"),
             cache_evictions: reg.counter("alloc.resolve.cache.evict"),
             cache_retained: reg.counter("alloc.resolve.cache.retained"),
             rebalance_datasets: reg.counter("alloc.rebalance.datasets"),
             touch_all: reg.counter("alloc.catalog.touch_all"),
         }
     }
+}
+
+/// What the hop cache holds for one `(requester, dataset)` pair (see
+/// [`AllocationServer::cached_hops`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CachedHops {
+    /// Completeness radius of the traversal that filled the slot: every
+    /// node within `radius` hops of the requester was reached
+    /// (`u32::MAX` = its component was exhausted).
+    pub radius: u32,
+    /// Hop distance per replica, parallel to
+    /// [`replicas_of`](AllocationServer::replicas_of): `Some(d)` iff
+    /// `d <= radius`.
+    pub hops: Vec<Option<u32>>,
 }
 
 /// Registry entry for a contributed repository.
@@ -205,11 +226,12 @@ pub struct AllocationServer {
     metrics: AllocMetrics,
     /// Version-keyed hop-distance cache for `resolve_csr`.
     cache: ResolveCache,
-    /// Reusable traversal scratches for the bounded BFS (one per
+    /// Reusable traversal scratches for the nearest-online BFS (one per
     /// concurrently-resolving thread; grown on demand).
     scratch_pool: Mutex<Vec<TraversalScratch>>,
-    /// Hop budget for the bounded BFS (`u32::MAX` = exact full-BFS
-    /// equivalence; the early exit on all-replicas-reached still applies).
+    /// Hop budget for the nearest-online BFS (`u32::MAX` = exact full-BFS
+    /// equivalence; the early exit at the nearest online level still
+    /// applies).
     hop_budget: AtomicU32,
 }
 
@@ -275,8 +297,13 @@ impl AllocationServer {
     /// Bound the resolution BFS to `hops` social hops: replicas beyond
     /// the budget rank as socially unreachable (still servable on
     /// latency). `u32::MAX` (the default) keeps exact full-BFS semantics.
+    ///
+    /// A change flushes the hop cache: a cached slot answers only under
+    /// the budget it was filled with, so none could serve again.
     pub fn set_resolve_hop_budget(&self, hops: u32) {
-        self.hop_budget.store(hops, Ordering::Relaxed);
+        if self.hop_budget.swap(hops, Ordering::Relaxed) != hops {
+            self.cache.clear();
+        }
     }
 
     /// Announce a social-graph change `old → new` produced by
@@ -297,6 +324,18 @@ impl AllocationServer {
         self.metrics.cache_retained.add(outcome.retained);
         self.metrics.cache_evictions.add(outcome.evicted);
         (outcome.retained, outcome.evicted)
+    }
+
+    /// The hop-cache slot for `requester` resolving `dataset`, if one is
+    /// cached at the dataset's current catalog version. A diagnostic
+    /// surface: resolution never needs it.
+    pub fn cached_hops(&self, dataset: DatasetId, requester: NodeId) -> Option<CachedHops> {
+        let version = self.catalog_version(dataset)?;
+        let slot = self.cache.slot((requester, dataset))?;
+        (slot.version == version).then(|| CachedHops {
+            radius: slot.radius,
+            hops: slot.hops.into_vec(),
+        })
     }
 
     /// Number of catalog shards.
@@ -829,8 +868,9 @@ impl AllocationServer {
 
     /// [`resolve`](AllocationServer::resolve) on a frozen CSR social
     /// graph — the allocation-free hot path. Hop distances come from the
-    /// version-keyed cache when fresh; otherwise one bounded multi-target
-    /// BFS (early exit once every replica is reached, pooled scratch, no
+    /// version-keyed cache when a slot decides the selection under the
+    /// current online mask; otherwise one nearest-online BFS (stops once
+    /// the nearest online replica's level is complete, pooled scratch, no
     /// per-request allocation proportional to the graph) recomputes and
     /// caches them. Selection is identical to `resolve` on the same
     /// graph while the default `u32::MAX` hop budget is in effect.
@@ -962,9 +1002,15 @@ impl AllocationServer {
             return (Err(AllocationError::UnknownDataset(dataset)), stamp);
         };
         let key = (requester, dataset);
-        let cached = self.cache.with_hops(key, entry.version, |hops| {
-            Self::select_online(repos, &entry.replicas, hops, &online, &latency_ms)
-        });
+        let budget = self.hop_budget.load(Ordering::Relaxed);
+        let cached = self.cache.with_hops(
+            key,
+            entry.version,
+            &entry.replicas,
+            &online,
+            budget,
+            |hops| Self::select_online(repos, &entry.replicas, hops, &online, &latency_ms),
+        );
         let sel = match cached {
             Some(sel) => {
                 self.metrics.cache_hits.inc();
@@ -973,21 +1019,28 @@ impl AllocationServer {
             None => {
                 self.metrics.cache_misses.inc();
                 let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-                scratch.bfs_to_targets(
+                let reach = scratch.bfs_nearest(
                     csr,
                     requester,
-                    &entry.replicas,
-                    self.hop_budget.load(Ordering::Relaxed),
+                    entry.replicas.iter().copied().filter(|&r| online(r)),
+                    budget,
                 );
+                self.metrics.cache_visited.add(reach.dequeued as u64);
                 let hops: Box<[Option<u32>]> = entry
                     .replicas
                     .iter()
                     .map(|&r| scratch.target_hops(r))
                     .collect();
-                let sel = Self::select_online(repos, &entry.replicas, &hops, &online, &latency_ms);
-                let outcome = self.cache.insert(key, entry.version, hops);
-                self.metrics.cache_evictions.add(outcome.evicted);
                 self.scratch_pool.lock().push(scratch);
+                let sel = Self::select_online(repos, &entry.replicas, &hops, &online, &latency_ms);
+                let slot = Slot {
+                    version: entry.version,
+                    budget,
+                    radius: reach.radius,
+                    hops,
+                };
+                let outcome = self.cache.insert(key, slot);
+                self.metrics.cache_evictions.add(outcome.evicted);
                 sel
             }
         };
@@ -1795,6 +1848,29 @@ mod tests {
             .expect("still served, just unranked socially");
         assert_eq!(sel.node, NodeId(4));
         assert_eq!(sel.social_hops, None, "beyond the 2-hop budget");
+    }
+
+    #[test]
+    fn raising_the_hop_budget_does_not_serve_clipped_slots() {
+        // Regression: slots filled under the old budget used to survive a
+        // budget change, so a replica the old budget clipped stayed
+        // socially unreachable.
+        let g = Graph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
+        let csr = CsrGraph::from(&g);
+        let srv = server_with_repos(&g);
+        srv.register_dataset(DatasetId(0), 1, NodeId(4))
+            .expect("ok");
+        let hops = |srv: &AllocationServer| {
+            srv.resolve_csr(DatasetId(0), NodeId(0), &csr, |_| true, |_| 1.0)
+                .expect("served")
+                .social_hops
+        };
+        srv.set_resolve_hop_budget(2);
+        assert_eq!(hops(&srv), None, "beyond the 2-hop budget");
+        srv.set_resolve_hop_budget(u32::MAX);
+        assert_eq!(hops(&srv), Some(4));
+        srv.set_resolve_hop_budget(2);
+        assert_eq!(hops(&srv), None, "lowering the budget clips again");
     }
 
     #[test]

@@ -241,3 +241,116 @@ proptest! {
         }
     }
 }
+
+/// Every slot a delta retained must still hold exactly the ball its
+/// radius promises on the post-churn graph: each replica's hops are
+/// `Some(d)` iff a full BFS puts it `d <= radius` hops away — including
+/// the replicas outside the ball, which the nearest-online traversal never
+/// reached.
+fn assert_retained_balls_exact(srv: &AllocationServer, g: &Graph, datasets: u32) -> usize {
+    let mut with_unreached = 0;
+    for d in (0..datasets).map(DatasetId) {
+        let replicas = srv.replicas_of(d).expect("known");
+        for q in g.nodes() {
+            let Some(slot) = srv.cached_hops(d, q) else {
+                continue;
+            };
+            let dist = scdn_graph::traversal::bfs_distances(g, q);
+            let want: Vec<Option<u32>> = replicas
+                .iter()
+                .map(|r| dist[r.index()].filter(|&h| h <= slot.radius))
+                .collect();
+            assert_eq!(
+                slot.hops, want,
+                "requester {q:?} dataset {d:?} radius {}: retained ball is stale",
+                slot.radius
+            );
+            with_unreached += usize::from(slot.hops.contains(&None));
+        }
+    }
+    with_unreached
+}
+
+/// A retained slot with an unreached replica keeps serving exactly.
+#[test]
+fn retained_slot_with_unreached_replica_stays_exact() {
+    // Line 0 — … — 29; replicas at 1 (near requester 0) and 20.
+    let mut g = Graph::new(30);
+    for i in 0..29u32 {
+        g.add_edge(NodeId(i), NodeId(i + 1), 1);
+    }
+    let srv = server_for(&g);
+    srv.register_dataset(DatasetId(0), 16, NodeId(1)).unwrap();
+    srv.add_replica(DatasetId(0), NodeId(20)).unwrap();
+    let old = CsrGraph::from(&g);
+    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &old), Some(1));
+    let slot = srv.cached_hops(DatasetId(0), NodeId(0)).expect("filled");
+    assert_eq!((slot.radius, slot.hops.clone()), (1, vec![Some(1), None]));
+
+    let mut delta = GraphDelta::new();
+    delta.remove_edge(NodeId(25), NodeId(26));
+    let new = old.apply_delta(&delta);
+    delta.apply_to(&mut g);
+    assert_eq!(
+        srv.note_graph_delta(&old, &new),
+        (1, 0),
+        "ball is 24 hops clear"
+    );
+    assert_eq!(assert_retained_balls_exact(&srv, &g, 1), 1);
+    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(1));
+}
+
+proptest! {
+    /// Slots filled under random online masks — so most hold replicas
+    /// outside their ball — survive a random delta only with exact balls,
+    /// and every later resolve under any mask equals a cold server's.
+    #[test]
+    fn retained_slots_with_unreached_replicas_match_full_bfs_to_their_radius(
+        mut g in arb_graph(),
+        churn in arb_churn(12),
+        replica_nodes in proptest::collection::vec(any::<u32>(), 2..7),
+        masks in proptest::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let n = g.node_count() as u32;
+        let srv = server_for(&g);
+        srv.register_dataset(DatasetId(0), 16, NodeId(replica_nodes[0] % n)).unwrap();
+        for &r in &replica_nodes[1..] {
+            let _ = srv.add_replica(DatasetId(0), NodeId(r % n));
+        }
+        let old = CsrGraph::from(&g);
+        let online_in = |mask: u64| move |v: NodeId| (mask >> (v.0 % 64)) & 1 == 1;
+        for (i, q) in g.nodes().enumerate() {
+            let online = online_in(masks[i % masks.len()]);
+            let _ = srv.resolve_csr(DatasetId(0), q, &old, online, |_| 1.0);
+        }
+        let mut delta = GraphDelta::new();
+        for &(add, a, b) in &churn {
+            if add {
+                delta.add_edge(NodeId(a % n), NodeId(b % n), 1);
+            } else {
+                delta.remove_edge(NodeId(a % n), NodeId(b % n));
+            }
+        }
+        let new = old.apply_delta(&delta);
+        delta.apply_to(&mut g);
+        srv.note_graph_delta(&old, &new);
+        assert_retained_balls_exact(&srv, &g, 1);
+
+        let oracle = server_for(&g);
+        oracle.set_resolve_cache_capacity(0);
+        oracle.register_dataset(DatasetId(0), 16, NodeId(replica_nodes[0] % n)).unwrap();
+        for &r in &replica_nodes[1..] {
+            let _ = oracle.add_replica(DatasetId(0), NodeId(r % n));
+        }
+        for &mask in &masks {
+            for q in g.nodes() {
+                let online = online_in(mask);
+                prop_assert_eq!(
+                    srv.resolve_csr(DatasetId(0), q, &new, online, |_| 1.0),
+                    oracle.resolve_csr(DatasetId(0), q, &new, online, |_| 1.0),
+                    "requester {:?} mask {:#x}: retained slot served a stale selection", q, mask
+                );
+            }
+        }
+    }
+}

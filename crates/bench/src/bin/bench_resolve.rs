@@ -4,7 +4,7 @@
 //! of the allocation server, on Barabási–Albert social graphs:
 //!
 //! * `full_bfs` — the adjacency-list oracle: one full BFS per request;
-//! * `csr_uncached` — bounded multi-target CSR BFS, hop cache disabled;
+//! * `csr_uncached` — nearest-online CSR BFS, hop cache disabled;
 //! * `csr_cached` — the same with the version-keyed hop cache on;
 //! * `batch@W` — `resolve_batch` fanning the trace over `W` worker
 //!   threads (cache on, cold at the start of the timed region), once per
@@ -208,6 +208,8 @@ struct WorkloadReport {
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
+    /// Nodes the cached run's miss traversals dequeued.
+    cache_visited: u64,
     speedup_cached: f64,
     speedup_batch: f64,
 }
@@ -232,7 +234,7 @@ impl WorkloadReport {
                 "      \"distinct_requesters\": {},\n",
                 "      \"oracle\": {{ \"requests_checked\": {}, \"prefix_limited\": {} }},\n",
                 "      \"paths\": {{\n{}\n      }},\n",
-                "      \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {} }},\n",
+                "      \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"visited\": {} }},\n",
                 "      \"speedup_cached_vs_full_bfs\": {:.2},\n",
                 "      \"speedup_batch_vs_full_bfs\": {:.2}\n",
                 "    }}"
@@ -249,6 +251,7 @@ impl WorkloadReport {
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions,
+            self.cache_visited,
             self.speedup_cached,
             self.speedup_batch,
         )
@@ -278,7 +281,7 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
         )
         .collect();
     let mut results: Vec<(String, usize, PathResult)> = Vec::new();
-    let mut cache = (0, 0, 0);
+    let mut cache = (0, 0, 0, 0);
     for (label, mode, workers) in &modes {
         let reg = Registry::new();
         let r = run_path(w, &reg, mode, *workers);
@@ -288,6 +291,7 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
                 snap.counter("alloc.resolve.cache.hit").unwrap_or(0),
                 snap.counter("alloc.resolve.cache.miss").unwrap_or(0),
                 snap.counter("alloc.resolve.cache.evict").unwrap_or(0),
+                snap.counter("alloc.resolve.cache.visited").unwrap_or(0),
             );
         }
         let timed = r.selected.len();
@@ -338,6 +342,7 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
         cache_hits: cache.0,
         cache_misses: cache.1,
         cache_evictions: cache.2,
+        cache_visited: cache.3,
         speedup_cached: rps_of("csr_cached") / rps_of("full_bfs"),
         speedup_batch: best_batch_rps / rps_of("full_bfs"),
     }
@@ -370,6 +375,7 @@ fn validate_report(text: &str) -> Result<(), Vec<String>> {
         "\"csr_cached\"",
         "\"batch@",
         "\"threads_swept\"",
+        "\"hardware\"",
         "\"oracle\"",
         "\"cache\"",
         "\"speedup_cached_vs_full_bfs\"",
@@ -410,11 +416,14 @@ fn emit(reports: &[WorkloadReport], worker_counts: &[usize], out_path: &str) -> 
             "over worker counts; selections gated against the oracle on every ",
             "oracle-checked request\",\n",
             "  \"generator\": \"barabasi_albert(n, 3)\",\n",
+            "  \"hardware\": {},\n",
             "  \"threads_swept\": [{}],\n",
             "  \"workloads\": {{\n{}\n  }}\n",
             "}}\n"
         ),
-        threads_swept, body
+        scdn_bench::hardware_json(),
+        threads_swept,
+        body
     );
     if let Err(violations) = validate_report(&json) {
         eprintln!("bench_resolve report FAILED validation:");

@@ -487,6 +487,7 @@ fn emit(
             "outcomes, metrics, and traces enforced; every batched run must reuse ",
             "catalog snapshots across batches\",\n",
             "  \"hardware_parallelism\": {},\n",
+            "  \"hardware\": {},\n",
             "  \"note\": \"worker counts above hardware_parallelism measure ",
             "oversubscription; single-core hosts are expected to report ~1x\",\n",
             "  \"multi_core\": {{\n",
@@ -500,7 +501,15 @@ fn emit(
             "  \"workloads\": {{\n{}\n  }}\n",
             "}}\n"
         ),
-        hardware, threads_swept, mc.workload, mc.workers, mc.speedup, GATE_THRESHOLD, mc.gate, body
+        hardware,
+        scdn_bench::hardware_json(),
+        threads_swept,
+        mc.workload,
+        mc.workers,
+        mc.speedup,
+        GATE_THRESHOLD,
+        mc.gate,
+        body
     );
     if let Err(violations) = validate_report(&json) {
         eprintln!("bench_throughput report FAILED validation:");

@@ -17,8 +17,9 @@
 //! JSON document. `--check` does the same run, then validates both the
 //! in-memory snapshot and the JSON round-trip — any NaN, negative counter,
 //! or mis-ordered quantile exits non-zero, as does a maintenance replan
-//! total that differs from the sum of its per-cause counters. CI uses
-//! `--check` as a schema gate.
+//! total that differs from the sum of its per-cause counters, or a
+//! missing resolve-traversal counter (`alloc.resolve.cache.visited`). CI
+//! uses `--check` as a schema gate.
 
 use std::process::ExitCode;
 
@@ -77,6 +78,10 @@ fn check() -> ExitCode {
             "snapshot: core.maintain.replanned{{,_entry,_quota,_clock}} = {replans:?} \
              (the causes must be present and sum to the total)"
         )),
+    }
+    // Resolve traversals report their work: nodes dequeued on cache misses.
+    if snap.counter("alloc.resolve.cache.visited").is_none() {
+        violations.push("snapshot: alloc.resolve.cache.visited is missing".into());
     }
     if violations.is_empty() {
         println!(

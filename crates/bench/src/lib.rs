@@ -28,6 +28,23 @@ pub fn row(label: &str, values: &[f64]) -> String {
     s
 }
 
+/// The host a report was measured on, as a JSON object: the detected
+/// parallelism and the CPU model from `/proc/cpuinfo` (`"unknown"` where
+/// that file is absent).
+pub fn hardware_json() -> String {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|rest| rest.split_once(':'))
+                .map(|(_, model)| model.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!("{{ \"parallelism\": {parallelism}, \"cpu_model\": \"{cpu_model}\" }}")
+}
+
 /// Parse a `--threads 1,2,4` / `--threads=1,2,4` flag into a
 /// worker-count sweep for the throughput-style benches. Returns `None`
 /// when the flag is absent; panics on a malformed count so a typo'd CI

@@ -645,6 +645,17 @@ impl CsrGraph {
     }
 }
 
+/// Outcome of [`TraversalScratch::bfs_nearest`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NearestReach {
+    /// Radius of the reported ball: exactly the nodes within `radius` hops
+    /// of the source have their distance reported; `u32::MAX` when the
+    /// source's component was exhausted.
+    pub radius: u32,
+    /// Nodes dequeued and expanded by the traversal.
+    pub dequeued: usize,
+}
+
 /// Reusable working memory for BFS/Brandes-style traversals on a
 /// [`CsrGraph`].
 ///
@@ -835,7 +846,8 @@ impl TraversalScratch {
     ///
     /// Query distances afterwards with
     /// [`target_hops`](TraversalScratch::target_hops); they stay valid
-    /// until the next `bfs_to_targets` call on this scratch.
+    /// until the next `bfs_to_targets` or `bfs_nearest` call on this
+    /// scratch.
     pub fn bfs_to_targets(
         &mut self,
         g: &CsrGraph,
@@ -883,9 +895,97 @@ impl TraversalScratch {
         reached
     }
 
+    /// Nearest-target BFS from `src`: explore outward until the level of
+    /// the nearest target is complete, the `max_hops` budget is reached, or
+    /// the component is spent — whichever comes first. This is the replica
+    /// resolution kernel: selection ranks by hops first, so once the
+    /// nearest target's level is complete no farther node can win.
+    ///
+    /// The traversal stops when the queue head reaches the level of the
+    /// first target it discovered (or `max_hops`). The queue is
+    /// distance-ordered, so at that point every node of the previous level
+    /// has been expanded — every node of the head's level is discovered —
+    /// and no node of the head's level has been expanded, so nothing
+    /// farther is. The returned [`NearestReach::radius`] is that level,
+    /// and [`target_hops`](TraversalScratch::target_hops) reports exactly
+    /// the ball: `Some(d)` iff `v` is `d <= radius` hops from `src`.
+    /// `radius` is `u32::MAX` when the component was exhausted (every
+    /// reachable node is reported), including an out-of-range `src`.
+    ///
+    /// With no in-range target the traversal is skipped: only `src` is
+    /// reported, with radius 0. Duplicate targets are harmless.
+    pub fn bfs_nearest(
+        &mut self,
+        g: &CsrGraph,
+        src: NodeId,
+        targets: impl IntoIterator<Item = NodeId>,
+        max_hops: u32,
+    ) -> NearestReach {
+        let n = g.node_count();
+        self.begin_epoch(n);
+        let epoch = self.epoch;
+        if src.index() >= n {
+            return NearestReach {
+                radius: u32::MAX,
+                dequeued: 0,
+            };
+        }
+        let mut any_target = false;
+        for t in targets {
+            if t.index() < n {
+                self.target_stamp[t.index()] = epoch;
+                any_target = true;
+            }
+        }
+        self.stamp[src.index()] = epoch;
+        self.hops[src.index()] = 0;
+        if !any_target {
+            return NearestReach {
+                radius: 0,
+                dequeued: 0,
+            };
+        }
+        self.queue.push(src.0);
+        // The level at which the head stops: the budget until a target is
+        // discovered, then that target's level.
+        let mut stop = if self.target_stamp[src.index()] == epoch {
+            0
+        } else {
+            max_hops
+        };
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head] as usize;
+            let dv = self.hops[v];
+            if dv >= stop {
+                return NearestReach {
+                    radius: dv,
+                    dequeued: head,
+                };
+            }
+            head += 1;
+            for &w in g.neighbor_ids(NodeId(v as u32)) {
+                let wi = w as usize;
+                if self.stamp[wi] != epoch {
+                    self.stamp[wi] = epoch;
+                    self.hops[wi] = dv + 1;
+                    if self.target_stamp[wi] == epoch {
+                        stop = stop.min(dv + 1);
+                    }
+                    self.queue.push(w);
+                }
+            }
+        }
+        NearestReach {
+            radius: u32::MAX,
+            dequeued: head,
+        }
+    }
+
     /// Hop distance of `v` from the last
-    /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) source;
-    /// `None` if `v` was not reached before the traversal stopped.
+    /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) or
+    /// [`bfs_nearest`](TraversalScratch::bfs_nearest) source; `None` if
+    /// `v` was not reached before the traversal stopped.
     #[inline]
     pub fn target_hops(&self, v: NodeId) -> Option<u32> {
         match self.stamp.get(v.index()) {
@@ -995,6 +1095,61 @@ mod tests {
         assert_eq!(scratch.distance(NodeId(4)), Some(1));
         assert_eq!(scratch.distance(NodeId(2)), None);
         assert_eq!(scratch.distance(NodeId(3)), None);
+    }
+
+    #[test]
+    fn nearest_bfs_stops_once_the_nearest_level_is_complete() {
+        // 0 — 1 — 2 — 3 — 4 — 5, plus 1 — 6.
+        let g = Graph::from_edges(
+            7,
+            [
+                (0, 1, 1),
+                (1, 2, 1),
+                (2, 3, 1),
+                (3, 4, 1),
+                (4, 5, 1),
+                (1, 6, 1),
+            ],
+        );
+        let c = CsrGraph::from(&g);
+        let mut scratch = TraversalScratch::new();
+        let reach = scratch.bfs_nearest(&c, NodeId(0), [NodeId(2), NodeId(5)], u32::MAX);
+        assert_eq!(reach.radius, 2, "the nearest target sits at level 2");
+        assert_eq!(scratch.target_hops(NodeId(2)), Some(2));
+        assert_eq!(scratch.target_hops(NodeId(6)), Some(2), "level 2 complete");
+        assert_eq!(scratch.target_hops(NodeId(5)), None, "beyond the radius");
+        assert_eq!(reach.dequeued, 2, "only levels 0 and 1 expanded");
+        // A target at the source stops before any expansion.
+        let reach = scratch.bfs_nearest(&c, NodeId(3), [NodeId(3), NodeId(0)], u32::MAX);
+        assert_eq!((reach.radius, reach.dequeued), (0, 0));
+        assert_eq!(scratch.target_hops(NodeId(3)), Some(0));
+    }
+
+    #[test]
+    fn nearest_bfs_reports_budget_and_exhaustion() {
+        let g = Graph::from_edges(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (4, 5, 1)]);
+        let c = CsrGraph::from(&g);
+        let mut scratch = TraversalScratch::new();
+        // Budget 1 stops short of the target at 3.
+        let reach = scratch.bfs_nearest(&c, NodeId(0), [NodeId(3)], 1);
+        assert_eq!(reach.radius, 1);
+        assert_eq!(scratch.target_hops(NodeId(1)), Some(1));
+        assert_eq!(scratch.target_hops(NodeId(3)), None);
+        // A target in another component: the component is exhausted.
+        let reach = scratch.bfs_nearest(&c, NodeId(0), [NodeId(5)], u32::MAX);
+        assert_eq!(reach.radius, u32::MAX);
+        assert_eq!(reach.dequeued, 4);
+        assert_eq!(scratch.target_hops(NodeId(3)), Some(3));
+        assert_eq!(scratch.target_hops(NodeId(5)), None);
+        // No in-range target: nothing but the source is reported.
+        let reach = scratch.bfs_nearest(&c, NodeId(0), [NodeId(99)], u32::MAX);
+        assert_eq!((reach.radius, reach.dequeued), (0, 0));
+        assert_eq!(scratch.target_hops(NodeId(0)), Some(0));
+        assert_eq!(scratch.target_hops(NodeId(1)), None);
+        // An out-of-range source reaches nothing, completely.
+        let reach = scratch.bfs_nearest(&c, NodeId(99), [NodeId(1)], u32::MAX);
+        assert_eq!(reach.radius, u32::MAX);
+        assert_eq!(scratch.target_hops(NodeId(1)), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod shortest_path;
 pub mod traversal;
 pub mod union_find;
 
-pub use csr::{CowStats, CsrGraph, TraversalScratch, DEFAULT_CHUNK_ROWS};
+pub use csr::{CowStats, CsrGraph, NearestReach, TraversalScratch, DEFAULT_CHUNK_ROWS};
 pub use delta::{DeltaOp, DeltaSummary, GraphDelta};
 pub use graph::{EdgeRef, Graph, NodeId};
 pub use union_find::UnionFind;

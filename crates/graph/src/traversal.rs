@@ -74,10 +74,9 @@ pub fn multi_source_bfs_csr(g: &CsrGraph, sources: &[NodeId]) -> Vec<Option<u32>
 /// not reached before the traversal stopped; with `max_hops == u32::MAX`
 /// that verdict matches a full [`bfs_distances`].
 ///
-/// This is the allocation-free replica-resolution kernel — callers on the
-/// hot path should hold a [`TraversalScratch`] and use
-/// [`TraversalScratch::bfs_to_targets`] directly to also skip the output
-/// allocation.
+/// Callers that only need the nearest target should hold a
+/// [`TraversalScratch`] and use [`TraversalScratch::bfs_nearest`], which
+/// stops at the nearest target's level and allocates nothing.
 pub fn bounded_hops_csr(
     g: &CsrGraph,
     src: NodeId,

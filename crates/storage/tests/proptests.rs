@@ -142,3 +142,44 @@ proptest! {
         prop_assert_eq!(listed.len(), names.len());
     }
 }
+
+/// The byte-at-a-time oracles `Checksum::of` must reproduce.
+fn oracle_checksum(data: &[u8]) -> Checksum {
+    Checksum {
+        fnv: scdn_storage::integrity::fnv1a64(data),
+        crc: scdn_storage::integrity::crc32(data),
+    }
+}
+
+#[test]
+fn one_pass_checksum_matches_oracles_at_every_length_to_64() {
+    let data: Vec<u8> = (0..64u32).map(|i| (i * 151 + 7) as u8).collect();
+    for len in 0..=64 {
+        assert_eq!(
+            Checksum::of(&data[..len]),
+            oracle_checksum(&data[..len]),
+            "len {len}"
+        );
+    }
+    assert_eq!(Checksum::of(b"123456789").crc, 0xcbf43926);
+}
+
+proptest! {
+    /// One-pass kernel ≡ `(fnv1a64, crc32)` on random contents up to
+    /// 64 KiB, and on sub-slices starting at every alignment.
+    #[test]
+    fn one_pass_checksum_matches_oracles(
+        seed in any::<u64>(),
+        len in 0usize..(64 << 10),
+        start in 0usize..16,
+        trim in 0usize..16,
+    ) {
+        let mut rng = TestRng::from_seed(seed);
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        prop_assert_eq!(Checksum::of(&data), oracle_checksum(&data));
+        let lo = start.min(data.len());
+        let hi = data.len().saturating_sub(trim).max(lo);
+        let sub = &data[lo..hi];
+        prop_assert_eq!(Checksum::of(sub), oracle_checksum(sub), "sub-slice {}..{}", lo, hi);
+    }
+}
